@@ -660,10 +660,24 @@ def cmd_specs(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(kind: type):
+    """Argparse ``type`` for a number that must be above zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    # argparse names the type in its "invalid <name> value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="70b", help="model (8b|70b|qwen|34b or full name)")
     parser.add_argument("--gpu", default="a100", help="GPU (a100|h100|h200 or full name)")
-    parser.add_argument("--gpus", type=int, default=8, help="GPUs in the server")
+    parser.add_argument("--gpus", type=_positive(int), default=8, help="GPUs in the server")
     parser.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     parser.add_argument("--requests", type=int, default=100, help="requests/sessions to generate")
     parser.add_argument("--token-budget", type=int, default=256, help="chunked-prefill token budget")
@@ -677,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
     run_p.add_argument("--system", default="muxwise")
     run_p.add_argument("--workload", default="toolagent")
-    run_p.add_argument("--rate", type=float, default=1.0)
+    run_p.add_argument("--rate", type=_positive(float), default=1.0)
     run_p.add_argument("--output", default=None, help="write per-request JSONL here")
     run_p.add_argument(
         "--trace",
@@ -691,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cmp_p)
     cmp_p.add_argument("--systems", default=None, help="comma-separated system names")
     cmp_p.add_argument("--workload", default="toolagent")
-    cmp_p.add_argument("--rate", type=float, default=1.0)
+    cmp_p.add_argument("--rate", type=_positive(float), default=1.0)
     cmp_p.set_defaults(func=cmd_compare)
 
     good_p = sub.add_parser("goodput", help="rate sweep under the TBT SLO")
@@ -705,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(clu_p)
     clu_p.add_argument("--system", default="muxwise", help="serving system of every replica")
     clu_p.add_argument("--workload", default="sharegpt")
-    clu_p.add_argument("--rate", type=float, default=4.0, help="fleet-wide request rate")
+    clu_p.add_argument("--rate", type=_positive(float), default=4.0, help="fleet-wide request rate")
     clu_p.add_argument("--replicas", type=int, default=4, help="replicas at start")
     clu_p.add_argument(
         "--policy", default="prefix-affinity", choices=sorted(POLICIES), help="routing policy"
@@ -734,7 +748,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(chaos_p)
     chaos_p.add_argument("--system", default="chunked", help="serving system of every replica")
     chaos_p.add_argument("--workload", default="sharegpt")
-    chaos_p.add_argument("--rate", type=float, default=8.0, help="fleet-wide request rate")
+    chaos_p.add_argument(
+        "--rate", type=_positive(float), default=8.0, help="fleet-wide request rate"
+    )
     chaos_p.add_argument("--replicas", type=int, default=4, help="replicas at start")
     chaos_p.add_argument(
         "--policy", default="round-robin", choices=sorted(POLICIES), help="routing policy"
@@ -863,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(prof_p)
     prof_p.add_argument("--system", default="chunked", help="system to capture/replay with")
     prof_p.add_argument("--workload", default="sharegpt")
-    prof_p.add_argument("--rate", type=float, default=4.0)
+    prof_p.add_argument("--rate", type=_positive(float), default=4.0)
     prof_p.add_argument("--name", default="captured", help="profile name (capture)")
     prof_p.add_argument(
         "--output", default="profile.json", metavar="PATH", help="profile destination (capture)"

@@ -600,6 +600,12 @@ class Device:
         self._reallocate()
         horizon = self._next_phase_change()
         if math.isfinite(horizon):
+            now = self.sim.now
+            if now + horizon == now:
+                # Below the clock's resolution the update would fire at
+                # ``now`` and advance nothing, forever.  The remainder is
+                # under ``rate * ulp``, so one ulp of progress retires it.
+                horizon = math.ulp(now)
             # Phase-change updates touch only this device's state: on a
             # sharded simulator they live in the device's own sub-heap.
             self._update_event = self.sim.schedule(horizon, self._on_update, shard=self)

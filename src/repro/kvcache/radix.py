@@ -18,6 +18,7 @@ Hit statistics feed the paper's Fig. 5 (hit rate vs. pool capacity).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -51,9 +52,22 @@ def new_segment(tokens: int) -> Segment:
 class _Node:
     """One cached segment in the radix tree."""
 
-    __slots__ = ("segment_uid", "tokens", "pages", "parent", "children", "ref_count", "last_access")
+    __slots__ = (
+        "segment_uid",
+        "tokens",
+        "pages",
+        "parent",
+        "children",
+        "ref_count",
+        "last_access",
+        "birth",
+        "locks",
+        "alive",
+    )
 
-    def __init__(self, segment_uid: int, tokens: int, pages: int, parent: "_Node | None") -> None:
+    def __init__(
+        self, segment_uid: int, tokens: int, pages: int, parent: "_Node | None", birth: int = -1
+    ) -> None:
         self.segment_uid = segment_uid
         self.tokens = tokens
         self.pages = pages
@@ -61,6 +75,24 @@ class _Node:
         self.children: dict[int, _Node] = {}
         self.ref_count = 0
         self.last_access = 0.0
+        #: Creation counter; sibling order in ``children`` is birth order.
+        self.birth = birth
+        #: ``(ref_count > 0)`` plus the number of locked children; the node
+        #: is locked (its subtree holds a pin) while this is nonzero.
+        self.locks = 0
+        #: Cleared when the node leaves the tree.
+        self.alive = True
+
+
+def _current(entry: tuple[float, tuple[int, ...], int, _Node]) -> bool:
+    """True while a candidate-heap entry still describes its node."""
+    node = entry[3]
+    return (
+        node.alive
+        and node.ref_count == 0
+        and not node.children
+        and node.last_access == entry[0]
+    )
 
 
 class Lease:
@@ -131,6 +163,16 @@ class RadixCache:
         #: default) keeps the eviction path byte-identical to the
         #: pre-tier code.
         self.spill: Callable[[tuple[int, ...], int, float], None] | None = None
+        self._births = itertools.count()
+        #: Lazy min-heap of eviction candidates (unpinned leaves), entries
+        #: ``(last_access, path_key, seq, node)``; see :meth:`_pick_victim`.
+        self._heap: list[tuple[float, tuple[int, ...], int, _Node]] = []
+        self._heap_seq = itertools.count()
+        self._node_count = 0
+        #: Pages of every node in the tree, and of the locked ones;
+        #: their difference is :meth:`evictable_pages`.
+        self._tree_pages = 0
+        self._locked_pages = 0
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -206,7 +248,7 @@ class RadixCache:
                 nodes.append(child)
                 node = child
         for node in nodes:
-            node.ref_count += 1
+            self._pin(node)
             node.last_access = self._clock
         lease = Lease(self, nodes)
         self.stats.lookups += 1
@@ -240,7 +282,7 @@ class RadixCache:
         for segment in segments:
             existing = parent.children.get(segment.uid)
             if existing is not None:
-                existing.ref_count += 1
+                self._pin(existing)
                 existing.last_access = self._clock
                 lease._nodes.append(existing)
                 parent = existing
@@ -248,10 +290,8 @@ class RadixCache:
             pages = self.pool.pages_for(segment.tokens)
             self._ensure_free_pages(pages)
             self.pool.allocate(segment.tokens)
-            node = _Node(segment.uid, segment.tokens, pages, parent)
-            node.ref_count = 1
-            node.last_access = self._clock
-            parent.children[segment.uid] = node
+            node = self._attach(segment, pages, parent)
+            self._pin(node)
             lease._nodes.append(node)
             parent = node
 
@@ -273,6 +313,9 @@ class RadixCache:
             self._ensure_free_pages(extra_pages)
             self.pool.allocate(extra_pages * self.pool.page_tokens)
             tail.pages += extra_pages
+            # The tail is pinned, so its new pages are locked too.
+            self._tree_pages += extra_pages
+            self._locked_pages += extra_pages
         tail.tokens = new_total
         tail.last_access = self._clock
 
@@ -286,8 +329,8 @@ class RadixCache:
             return
         lease.released = True
         for node in lease._nodes:
-            node.ref_count -= 1
             node.last_access = self._clock
+            self._unpin(node)
         if not keep_cached:
             for node in reversed(lease._nodes):
                 if node.ref_count == 0 and not node.children:
@@ -304,10 +347,6 @@ class RadixCache:
     def can_fit(self, tokens: int) -> bool:
         """True if ``tokens`` can be stored, evicting unpinned data if needed."""
         needed = self.pool.pages_for(tokens)
-        if needed <= self.pool.free_pages:
-            # Fits without evicting — skip the tree walk (the admission
-            # path asks this on every step, usually with plenty of room).
-            return True
         return needed <= self.pool.free_pages + self._evictable_leaf_pages()
 
     def can_fit_path(self, segments: list[Segment]) -> bool:
@@ -352,6 +391,8 @@ class RadixCache:
             child = node.children.get(segment.uid)
             if child is not None:
                 child.last_access = self._clock
+                if child.ref_count == 0 and not child.children:
+                    self._push(child)
                 node = child
                 continue
             if index < require_cached:
@@ -360,18 +401,16 @@ class RadixCache:
             # Guard-pin the attach parent: eviction inside
             # _ensure_free_pages must not pick a just-seeded, still
             # unpinned ancestor while making room for its child.
-            node.ref_count += 1
+            self._pin(node)
             try:
                 self._ensure_free_pages(pages)
             except PoolExhaustedError:
                 return added
             finally:
-                node.ref_count -= 1
+                self._unpin(node)
             self.pool.allocate(segment.tokens)
-            new_node = _Node(segment.uid, segment.tokens, pages, node)
-            new_node.last_access = self._clock
-            node.children[segment.uid] = new_node
-            node = new_node
+            node = self._attach(segment, pages, node)
+            self._push(node)
             added += segment.tokens
         return added
 
@@ -429,17 +468,85 @@ class RadixCache:
                 )
 
     def _pick_victim(self) -> _Node | None:
-        best: _Node | None = None
-        for node in self._iter_nodes():
-            if node.ref_count > 0 or node.children:
-                continue
-            if best is None or node.last_access < best.last_access:
-                best = node
-        return best
+        """The LRU unpinned leaf, left in place on top of the heap.
+
+        Entries go stale instead of being removed: one is valid while its
+        node is still attached, unpinned, childless and carries the
+        entry's ``last_access``.  Every candidate has a valid entry (see
+        :meth:`_push`), so the first valid top is the minimum.  Ties on
+        ``last_access`` go to the leaf whose root path has the
+        lexicographically largest birth sequence, via ``path_key``: the
+        first leaf a preorder walk meets when it visits children newest
+        first.
+        """
+        heap = self._heap
+        while heap and not _current(heap[0]):
+            heapq.heappop(heap)
+        return heap[0][3] if heap else None
+
+    def _push(self, node: _Node) -> None:
+        """Record ``node`` as an eviction candidate at its ``last_access``.
+
+        Called whenever a node may have become an unpinned leaf, or its
+        ``last_access`` changed while it is one.
+        """
+        path: list[int] = []
+        walk = node
+        while walk.parent is not None:
+            path.append(-walk.birth)
+            walk = walk.parent
+        path.reverse()
+        heap = self._heap
+        heapq.heappush(heap, (node.last_access, tuple(path), next(self._heap_seq), node))
+        if len(heap) > 2 * self._node_count + 64:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop stale and duplicate heap entries (they outnumber live ones)."""
+        live = {id(entry[3]): entry for entry in self._heap if _current(entry)}
+        self._heap = list(live.values())
+        heapq.heapify(self._heap)
+
+    def _pin(self, node: _Node) -> None:
+        node.ref_count += 1
+        if node.ref_count == 1:
+            # Lock upward until an ancestor that was already locked.
+            while node.parent is not None:
+                node.locks += 1
+                if node.locks != 1:
+                    break
+                self._locked_pages += node.pages
+                node = node.parent
+
+    def _unpin(self, node: _Node) -> None:
+        node.ref_count -= 1
+        if node.ref_count == 0:
+            if node.parent is not None and not node.children:
+                self._push(node)
+            while node.parent is not None:
+                node.locks -= 1
+                if node.locks != 0:
+                    break
+                self._locked_pages -= node.pages
+                node = node.parent
+
+    def _attach(self, segment: Segment, pages: int, parent: _Node) -> _Node:
+        node = _Node(segment.uid, segment.tokens, pages, parent, next(self._births))
+        node.last_access = self._clock
+        parent.children[segment.uid] = node
+        self._node_count += 1
+        self._tree_pages += pages
+        return node
 
     def _drop(self, node: _Node) -> None:
-        if node.parent is not None:
-            node.parent.children.pop(node.segment_uid, None)
+        parent = node.parent
+        if parent is not None:
+            parent.children.pop(node.segment_uid, None)
+            if parent.parent is not None and parent.ref_count == 0 and not parent.children:
+                self._push(parent)
+        node.alive = False
+        self._node_count -= 1
+        self._tree_pages -= node.pages
         self.pool.release_pages(node.pages)
 
     # ------------------------------------------------------------------ #
@@ -463,26 +570,11 @@ class RadixCache:
         Nodes in ``extra_pinned`` are treated as if they held a reference:
         :meth:`can_fit_path` passes the existing prefix chain a pending
         insert is about to pin, so its pages are not double-counted as
-        reclaimable.
+        reclaimable.  The chain is a path from the root, so pinning it
+        locks exactly its nodes that are not locked already.
         """
-        total = 0
-        pinned: set[int] | None = (
-            {id(node) for node in extra_pinned} if extra_pinned else None
-        )
-
-        def walk(node: _Node) -> bool:
-            nonlocal total
-            fully_unpinned = node.ref_count == 0 and (
-                pinned is None or id(node) not in pinned
-            )
-            subtree_pages = node.pages
-            for child in node.children.values():
-                child_unpinned = walk(child)
-                fully_unpinned = fully_unpinned and child_unpinned
-            if fully_unpinned:
-                total += subtree_pages
-            return fully_unpinned
-
-        for child in self._root.children.values():
-            walk(child)
+        total = self._tree_pages - self._locked_pages
+        for node in extra_pinned:
+            if not node.locks:
+                total -= node.pages
         return total

@@ -1,5 +1,6 @@
 """Unit tests for the fluid-flow device: rooflines, contention, memory."""
 
+import math
 
 import pytest
 
@@ -294,3 +295,22 @@ class TestUtilization:
         sim.run()
         assert done["t"] == pytest.approx(1.0, rel=1e-6)
         assert device.bandwidth_utilization() == pytest.approx(1.0, rel=1e-6)
+
+
+class TestClockResolution:
+    def test_sub_ulp_remainder_retires_in_a_few_events(self):
+        # Late in a long run one ulp of the clock is ~2e-13 s; a task whose
+        # remaining work finishes sooner than that (but sits above its done
+        # floor) must not re-arm a zero-length update forever.
+        now = 1031.48
+        sim = Simulator(start_time=now)
+        device = Device(sim, A100)
+        rate = device.compute_rate(device.total_sms)
+        flops = rate * math.ulp(now) / 4
+        task = ExecTask(flops=flops, bytes=0.0, sm_count=device.total_sms)
+        assert task._flops_floor < flops and now + flops / rate == now
+        done = []
+        task.on_complete = done.append
+        device.submit(task)
+        sim.run(max_events=10)
+        assert done and sim.processed_events <= 3

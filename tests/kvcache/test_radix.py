@@ -145,6 +145,44 @@ class TestEviction:
         assert cache.match([a]) == 0  # oldest evicted
         assert cache.match([b]) == 64
 
+    def test_lru_tie_goes_to_the_newest_branch(self):
+        # Equal last_access: the victim is the first leaf of a preorder walk
+        # that visits children newest first — b2 (under the newer top-level
+        # node b1), even though a2 was created after b2.
+        cache = make_cache(capacity_tokens=160)
+        a1, b1, b2, a2 = (new_segment(16) for _ in range(4))
+        cache.touch(1.0)
+        leases = []
+        for path in ([a1], [b1], [b1, b2], [a1, a2]):
+            lease = cache.acquire(path)
+            cache.insert(lease, path[lease.depth :])
+            leases.append(lease)
+        for lease in leases:
+            cache.release(lease)
+        cache.touch(2.0)
+        big = new_segment(112)
+        lease = cache.acquire([big])
+        cache.insert(lease, [big])  # one page short: evicts exactly one leaf
+        assert cache.stats.evictions == 1
+        assert cache.match([b1, b2]) == 16
+        assert cache.match([a1, a2]) == 32
+
+    def test_stale_candidates_do_not_accumulate(self):
+        cache = make_cache()
+        shared = new_segment(16)
+        for step in range(1000):
+            cache.touch(float(step))
+            lease = cache.acquire([shared])
+            cache.insert(lease, [shared])
+            cache.release(lease)
+            tail = new_segment(16)
+            lease = cache.acquire([shared, tail])
+            cache.insert(lease, [tail])
+            cache.release(lease, keep_cached=False)
+        # 2000 releases and 1000 drops, no eviction to pop the heap.
+        assert cache.stats.evictions == 0
+        assert len(cache._heap) <= 2 * len(list(cache._iter_nodes())) + 64
+
     def test_release_without_keep_drops_immediately(self):
         cache = make_cache()
         seg = new_segment(100)

@@ -106,6 +106,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run", "--workload", "nope", "--model", "8b", "--gpus", "1"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--rate", "0"], "argument --rate: must be positive, got 0"),
+            (["run", "--gpus", "0"], "argument --gpus: must be positive, got 0"),
+            (["cluster", "--rate", "-1"], "argument --rate: must be positive, got -1"),
+        ],
+    )
+    def test_nonpositive_rate_or_gpus_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(message)
+        assert "Traceback" not in err
+
     def test_tenancy_command_small(self, capsys):
         code = main(["tenancy", "--scale", "0.1"])
         assert code == 0
