@@ -150,9 +150,10 @@ def run_chaos(
     if cluster.health is not None:
         extras["health_probes"] = float(cluster.health.probes)
         extras["health_failures_detected"] = float(cluster.health.failures_detected)
+    summary, per_replica = cluster.summaries()
     return ChaosResult(
-        summary=cluster.summarize(),
-        per_replica=cluster.per_replica_summaries(),
+        summary=summary,
+        per_replica=per_replica,
         conservation=cluster.router.conservation(),
         faults=injector.summary(),
         fleet_failures=cluster.failures,

@@ -99,9 +99,10 @@ def run_fleet(
         extras["cost_kwh"] = float(cost["kwh"])
         extras["cost_replica_seconds"] = float(cost["replica_seconds"])
         extras["cost_hourly"] = float(cost["hourly_cost"])
+    summary, per_replica = cluster.summaries()
     return FleetRunResult(
-        summary=cluster.summarize(),
-        per_replica=cluster.per_replica_summaries(),
+        summary=summary,
+        per_replica=per_replica,
         cache_hit_rate=cluster.cache_hit_rate(),
         sm_utilization=cluster.sm_utilization(),
         bandwidth_utilization=cluster.bandwidth_utilization(),

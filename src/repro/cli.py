@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from repro.baselines import (
     ChunkedPrefillServer,
@@ -211,14 +212,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_goodput(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    rates = [float(r) for r in args.rates.split(",")]
     factory = make_factory(args.system, args.token_budget)
     sweep = goodput_sweep(
         args.system,
         factory,
         cfg,
         lambda rate: build_workload(args, rate=rate),
-        rates=rates,
+        rates=args.rates,
     )
     for point in sweep.points:
         summary = point.result.summary
@@ -660,13 +660,13 @@ def cmd_specs(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive(kind: type):
-    """Argparse ``type`` for a number that must be above zero."""
+def _checked(kind: type, accept: Callable[[float], bool], what: str):
+    """Argparse ``type`` for a number that ``accept`` must hold for."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
     # argparse names the type in its "invalid <name> value" message.
@@ -674,12 +674,36 @@ def _positive(kind: type):
     return parse
 
 
+def _positive(kind: type):
+    """Argparse ``type`` for a number that must be above zero."""
+    return _checked(kind, lambda v: v > 0, "positive")
+
+
+def _non_negative(kind: type):
+    """Argparse ``type`` for a number that must not be below zero."""
+    return _checked(kind, lambda v: v >= 0, "non-negative")
+
+
+#: Argparse ``type`` for a fraction in [0, 1].
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+
+
+def _positive_floats(text: str) -> list[float]:
+    """Argparse ``type`` for a comma-separated list of positive numbers."""
+    return [_positive(float)(part) for part in text.split(",")]
+
+
+_positive_floats.__name__ = "float"
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="70b", help="model (8b|70b|qwen|34b or full name)")
     parser.add_argument("--gpu", default="a100", help="GPU (a100|h100|h200 or full name)")
     parser.add_argument("--gpus", type=_positive(int), default=8, help="GPUs in the server")
     parser.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    parser.add_argument("--requests", type=int, default=100, help="requests/sessions to generate")
+    parser.add_argument(
+        "--requests", type=_non_negative(int), default=100, help="requests/sessions to generate"
+    )
     parser.add_argument("--token-budget", type=int, default=256, help="chunked-prefill token budget")
 
 
@@ -712,7 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(good_p)
     good_p.add_argument("--system", default="muxwise")
     good_p.add_argument("--workload", default="toolagent")
-    good_p.add_argument("--rates", default="0.5,1.0,2.0", help="comma-separated req/s")
+    good_p.add_argument(
+        "--rates", type=_positive_floats, default="0.5,1.0,2.0", help="comma-separated req/s"
+    )
     good_p.set_defaults(func=cmd_goodput)
 
     clu_p = sub.add_parser("cluster", help="multi-replica fleet behind a routing policy")
@@ -720,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu_p.add_argument("--system", default="muxwise", help="serving system of every replica")
     clu_p.add_argument("--workload", default="sharegpt")
     clu_p.add_argument("--rate", type=_positive(float), default=4.0, help="fleet-wide request rate")
-    clu_p.add_argument("--replicas", type=int, default=4, help="replicas at start")
+    clu_p.add_argument("--replicas", type=_positive(int), default=4, help="replicas at start")
     clu_p.add_argument(
         "--policy", default="prefix-affinity", choices=sorted(POLICIES), help="routing policy"
     )
@@ -731,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission control mode at the router",
     )
     clu_p.add_argument(
-        "--max-outstanding", type=int, default=64, help="in-flight budget per replica"
+        "--max-outstanding", type=_positive(int), default=64, help="in-flight budget per replica"
     )
     clu_p.add_argument("--autoscale", action="store_true", help="enable the SLO autoscaler")
     clu_p.add_argument("--min-replicas", type=int, default=1, help="autoscaler floor")
@@ -751,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument(
         "--rate", type=_positive(float), default=8.0, help="fleet-wide request rate"
     )
-    chaos_p.add_argument("--replicas", type=int, default=4, help="replicas at start")
+    chaos_p.add_argument("--replicas", type=_positive(int), default=4, help="replicas at start")
     chaos_p.add_argument(
         "--policy", default="round-robin", choices=sorted(POLICIES), help="routing policy"
     )
@@ -774,10 +800,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios", default=None, help="comma-separated scenario names (default: all)"
     )
     perf_p.add_argument(
-        "--scale", type=float, default=1.0, help="workload scale factor for every scenario"
+        "--scale",
+        type=_positive(float),
+        default=1.0,
+        help="workload scale factor for every scenario",
     )
     perf_p.add_argument(
-        "--repeats", type=int, default=1, help="runs per scenario; fastest wall-clock is kept"
+        "--repeats",
+        type=_positive(int),
+        default=1,
+        help="runs per scenario; fastest wall-clock is kept",
     )
     perf_p.add_argument(
         "--tiers",
@@ -802,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.set_defaults(func=cmd_perf)
 
     ten_p = sub.add_parser("tenancy", help="multi-tenant QoS isolation study")
-    ten_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
+    ten_p.add_argument("--scale", type=_positive(float), default=1.0, help="workload scale factor")
     ten_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     ten_p.add_argument(
         "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
@@ -819,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="interconnect bandwidths to sweep (bytes/sec)",
     )
-    kvt_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
+    kvt_p.add_argument("--scale", type=_positive(float), default=1.0, help="workload scale factor")
     kvt_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     kvt_p.add_argument(
         "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
@@ -829,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     het_p = sub.add_parser(
         "hetero", help="heterogeneous-fleet goodput-per-dollar study"
     )
-    het_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
+    het_p.add_argument("--scale", type=_positive(float), default=1.0, help="workload scale factor")
     het_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     het_p.add_argument(
         "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
@@ -841,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     spec_p.add_argument(
         "--rates",
-        type=float,
+        type=_fraction,
         nargs="+",
         default=None,
         help="draft-token acceptance rates to sweep (in [0, 1])",
@@ -853,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="draft lengths (k) to sweep",
     )
-    spec_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
+    spec_p.add_argument("--scale", type=_positive(float), default=1.0, help="workload scale factor")
     spec_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     spec_p.add_argument(
         "--json", action="store_true", help="emit the full study as JSON (machine-readable)"
@@ -863,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_p = sub.add_parser(
         "scenarios", help="agentic & RAG study: routing, tool-pauses, profile replay"
     )
-    scen_p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
+    scen_p.add_argument("--scale", type=_positive(float), default=1.0, help="workload scale factor")
     scen_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     scen_p.add_argument(
         "--json", action="store_true", help="emit the full study as JSON (machine-readable)"

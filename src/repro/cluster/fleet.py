@@ -35,7 +35,7 @@ from repro.kvcache.tiers import TieredKVStore
 from repro.kvcache.transfer import TransferConfig, TransferEngine
 from repro.serving.base import ServingSystem, iter_instances
 from repro.serving.config import ServingConfig
-from repro.serving.metrics import MetricsCollector, Summary, merge_collectors
+from repro.serving.metrics import MetricsCollector, Summary, pooled_summaries
 from repro.sim import Simulator
 from repro.trace.tracer import CAT_FAULT, CAT_ROUTER
 from repro.workloads.request import Request, Workload
@@ -610,15 +610,24 @@ class Fleet:
     # Aggregation
     # ------------------------------------------------------------------ #
 
-    def summarize(self) -> Summary:
-        """Fleet-level summary: the merge of all per-replica collectors
-        (retired generations included — their finished work was real)."""
-        merged = merge_collectors(
-            [*self._retired_collectors, *(r.system.metrics for r in self.replicas)],
+    def summaries(self) -> tuple[Summary, dict[str, Summary]]:
+        """The fleet summary and each replica's own, keyed by replica name.
+
+        The fleet summary is the merge of all per-replica collectors
+        (retired generations included — their finished work was real);
+        both come from one conversion of each collector's samples.
+        """
+        fleet, own = pooled_summaries(
+            [r.system.metrics for r in self.replicas],
             self.base_cfg.slo,
             name="fleet",
+            retired=self._retired_collectors,
         )
-        return merged.summarize()
+        return fleet, {r.name: s for r, s in zip(self.replicas, own)}
+
+    def summarize(self) -> Summary:
+        """Fleet-level summary (see :meth:`summaries`)."""
+        return self.summaries()[0]
 
     def per_replica_summaries(self) -> dict[str, Summary]:
         """Each replica's own summary, keyed by replica name."""

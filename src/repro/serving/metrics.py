@@ -8,10 +8,11 @@ are exactly the quantities of the paper's Figs. 14-17 and Tables 3-5.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterable
+from itertools import chain, repeat
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.serving.slo import SLO
 from repro.workloads.request import Request
@@ -20,33 +21,90 @@ from repro.workloads.request import Request
 def percentile(values: list[float], pct: float) -> float:
     """Linear-interpolated percentile; NaN for empty (or all-NaN) input.
 
-    NaN samples are excluded up front: NaN compares false against
-    everything, so letting it into ``sorted()`` leaves the list partially
-    ordered and silently corrupts every rank.
+    NaN samples are excluded: NaN has no rank, so it takes no part in the
+    order statistics.
     """
     if not 0 <= pct <= 100:
         raise ValueError("pct must be in [0, 100]")
-    ordered = sorted(v for v in values if not math.isnan(v))
-    return _percentile_of_sorted(ordered, pct)
+    return _Samples.of(values).select(pct)[0]
 
 
-def _percentile_of_sorted(ordered: list[float], pct: float) -> float:
-    """:func:`percentile` over an already sorted, NaN-free sample list.
+class _Samples:
+    """One metric's samples, ready for a mean and any order statistics.
 
-    Split out so :meth:`MetricsCollector.summarize` can sort each sample
-    list once and read several percentiles off it.
+    ``parts`` keeps the samples in their original order: means sum them in
+    that order (float addition is not associative, and these numbers are
+    fingerprinted byte for byte).  ``clean`` holds the same samples as one
+    NaN-free float64 array.  Every percentile requested of it is read from
+    a single ``numpy.partition`` on the needed ranks, and the rank and
+    interpolation arithmetic is done in Python floats.  The k-th smallest
+    sample is one value whichever way it is found, so the result is
+    bit-identical to indexing the ``sorted()`` list.  The only exception
+    is the sign of a zero: ``-0.0 == 0.0``, and a stable sort and a
+    selection may pick different ones.  No simulated sample is ever
+    ``-0.0``, since each is a later time minus an earlier one, and ``x - y``
+    with ``x >= y`` rounds to ``+0.0`` when the two are equal.
+
+    A fleet's samples are its collectors' samples pooled: the parts are
+    chained in merge order and the arrays concatenated, so no sample list
+    is converted twice.
     """
-    if not ordered:
-        return math.nan
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    return ordered[low] * (1 - frac) + ordered[high] * frac
+
+    __slots__ = ("parts", "size", "clean")
+
+    def __init__(self, parts: list[list[float]], clean: np.ndarray) -> None:
+        self.parts = parts
+        self.size = sum(map(len, parts))
+        self.clean = clean
+
+    @classmethod
+    def of(cls, values: list[float]) -> "_Samples":
+        """Samples of one list (the array is a copy, so selection may
+        reorder it; the list is kept as it is)."""
+        clean = np.fromiter(values, dtype=np.float64, count=len(values))
+        nan = np.isnan(clean)
+        if nan.any():
+            clean = clean[~nan]
+        return cls([values], clean)
+
+    @classmethod
+    def pool(cls, samples: "Iterable[_Samples]") -> "_Samples":
+        """The union of several sample sets, in the given order."""
+        samples = list(samples)
+        parts = [part for s in samples for part in s.parts]
+        return cls(parts, np.concatenate([s.clean for s in samples]))
+
+    def mean(self) -> float:
+        """Arithmetic mean in sample order (NaN for no samples)."""
+        if not self.size:
+            return math.nan
+        return sum(chain.from_iterable(self.parts)) / self.size
+
+    def select(self, *pcts: float) -> list[float]:
+        """Linear-interpolated percentiles of the NaN-free samples."""
+        clean = self.clean
+        n = len(clean)
+        if n <= 1:
+            only = float(clean[0]) if n else math.nan
+            return [only] * len(pcts)
+        ranks = []
+        for pct in pcts:
+            rank = (pct / 100.0) * (n - 1)
+            ranks.append((rank, int(math.floor(rank)), int(math.ceil(rank))))
+        clean.partition(sorted({k for _, low, high in ranks for k in (low, high)}))
+        out = []
+        for rank, low, high in ranks:
+            value = float(clean[low])
+            if low != high:
+                frac = rank - low
+                value = value * (1 - frac) + float(clean[high]) * frac
+            out.append(value)
+        return out
+
+    def count_at_most(self, bound: float) -> int:
+        """NaN-free samples ``<= bound`` (all of them for a NaN bound, as
+        ``bisect_right`` on the sorted samples would count)."""
+        return len(self.clean) - int(np.count_nonzero(self.clean > bound))
 
 
 @dataclass
@@ -281,52 +339,101 @@ class MetricsCollector:
 
     def summarize(self) -> Summary:
         """Aggregate all records into a :class:`Summary`."""
+        return self._summary(self._samples())
+
+    def _samples(self) -> "_RunSamples":
+        """Every sample list a summary reads, each converted once."""
         finished = self.finished_records
-        ttfts = self.ttft_values()
-        gaps = self.all_token_gaps()
-        tpots = [r.tpot for r in finished if not math.isnan(r.tpot)]
-        e2es = [r.e2e for r in finished]
+        return _RunSamples(
+            finished=len(finished),
+            ttfts=_Samples.of(self.ttft_values()),
+            gaps=_Samples.of(self.all_token_gaps()),
+            tpots=_Samples.of([r.tpot for r in finished if not math.isnan(r.tpot)]),
+            e2es=_Samples.of([r.e2e for r in finished]),
+        )
+
+    def _summary(self, samples: "_RunSamples") -> Summary:
+        """A :class:`Summary` of this collector's records and window, with
+        latency distributions read from ``samples``."""
         elapsed = 0.0
         if self._start_time is not None and self._end_time is not None:
             elapsed = max(1e-9, self._end_time - self._start_time)
         output_tokens = sum(r.tokens_emitted for r in self.records.values())
         total_tokens = output_tokens + self._prefilled_tokens
         useful_tokens = output_tokens + self._useful_input_tokens
-        # Sort each multi-percentile sample list once; means stay over the
-        # *original* order (float addition is not associative, and these
-        # numbers are fingerprinted byte-for-byte).
-        isnan = math.isnan
-        ordered_gaps = sorted([g for g in gaps if not isnan(g)])
-        ordered_ttfts = sorted([t for t in ttfts if not isnan(t)])
-        tbt_p99 = _percentile_of_sorted(ordered_gaps, 99.0)
+        ttft_p50, ttft_p99 = samples.ttfts.select(50.0, 99.0)
+        gaps = samples.gaps
+        tbt_p50, tbt_p99 = gaps.select(50.0, 99.0)
         # A run with no decode gaps (every request emitted a single output
         # token) never violated the TBT SLO: attainment is vacuously 1.0
-        # and the SLO is met, not failed.  NaN gaps (none in practice) would
-        # sort out of ``ordered_gaps`` but stay in the denominator, exactly
-        # like the original ``g <= tbt`` scan that counted them as misses.
-        attainment = (
-            bisect_right(ordered_gaps, self.slo.tbt) / len(gaps) if gaps else 1.0
-        )
+        # and the SLO is met, not failed.  NaN gaps (none in practice) are
+        # never within the SLO but stay in the denominator as misses.
+        attainment = gaps.count_at_most(self.slo.tbt) / gaps.size if gaps.size else 1.0
         return Summary(
             name=self.name,
             requests_total=len(self.records),
-            requests_finished=len(finished),
-            ttft_avg=_mean(ttfts),
-            ttft_p50=_percentile_of_sorted(ordered_ttfts, 50.0),
-            ttft_p99=_percentile_of_sorted(ordered_ttfts, 99.0),
-            tbt_avg=_mean(gaps),
-            tbt_p50=_percentile_of_sorted(ordered_gaps, 50.0),
+            requests_finished=samples.finished,
+            ttft_avg=samples.ttfts.mean(),
+            ttft_p50=ttft_p50,
+            ttft_p99=ttft_p99,
+            tbt_avg=gaps.mean(),
+            tbt_p50=tbt_p50,
             tbt_p99=tbt_p99,
-            tpot_avg=_mean(tpots),
-            tpot_p50=percentile(tpots, 50.0),
-            e2e_avg=_mean(e2es),
-            e2e_p50=percentile(e2es, 50.0),
+            tpot_avg=samples.tpots.mean(),
+            tpot_p50=samples.tpots.select(50.0)[0],
+            e2e_avg=samples.e2es.mean(),
+            e2e_p50=samples.e2es.select(50.0)[0],
             token_throughput=total_tokens / elapsed if elapsed else 0.0,
             useful_throughput=useful_tokens / elapsed if elapsed else 0.0,
             output_throughput=output_tokens / elapsed if elapsed else 0.0,
             tbt_attainment=attainment,
-            slo_met=tbt_p99 <= self.slo.tbt if gaps else True,
+            slo_met=tbt_p99 <= self.slo.tbt if gaps.size else True,
         )
+
+
+@dataclass
+class _RunSamples:
+    """The latency samples behind one :class:`Summary`."""
+
+    finished: int
+    ttfts: _Samples
+    gaps: _Samples
+    tpots: _Samples
+    e2es: _Samples
+
+    @classmethod
+    def pool(cls, runs: "list[_RunSamples]") -> "_RunSamples":
+        """Samples of the merged collector, from its parts' samples."""
+        return cls(
+            finished=sum(r.finished for r in runs),
+            ttfts=_Samples.pool(r.ttfts for r in runs),
+            gaps=_Samples.pool(r.gaps for r in runs),
+            tpots=_Samples.pool(r.tpots for r in runs),
+            e2es=_Samples.pool(r.e2es for r in runs),
+        )
+
+
+def pooled_summaries(
+    collectors: Sequence[MetricsCollector],
+    slo: SLO,
+    name: str = "fleet",
+    retired: Sequence[MetricsCollector] = (),
+) -> tuple[Summary, list[Summary]]:
+    """A fleet summary and each collector's own summary, in one pass.
+
+    The first result equals ``merge_collectors([*retired, *collectors],
+    slo, name).summarize()`` field for field; the second lists
+    ``c.summarize()`` for each of ``collectors``.  ``retired`` collectors
+    count towards the fleet only.  Each collector's sample lists are
+    converted once and the fleet's order statistics read off their
+    concatenation, instead of re-collecting every sample from the merged
+    records.
+    """
+    merged = merge_collectors([*retired, *collectors], slo, name=name)
+    own_samples = [c._samples() for c in collectors]
+    own = [c._summary(s) for c, s in zip(collectors, own_samples)]
+    pooled = _RunSamples.pool([*(c._samples() for c in retired), *own_samples])
+    return merged._summary(pooled), own
 
 
 def merge_collectors(
@@ -356,9 +463,3 @@ def merge_collectors(
             ours = getattr(merged, bound)
             setattr(merged, bound, theirs if ours is None else pick(ours, theirs))
     return merged
-
-
-def _mean(values: list[float]) -> float:
-    if not values:
-        return math.nan
-    return sum(values) / len(values)

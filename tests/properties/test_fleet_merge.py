@@ -8,8 +8,14 @@ Two angles:
 2. An end-to-end check on a deterministic seeded fleet run: the aggregated
    ``Summary`` must agree with re-merging the per-replica collectors, and
    the pooled percentile inputs must be the multiset union of the replicas'.
+
+The one-pass ``pooled_summaries`` (which pools each collector's converted
+samples instead of re-collecting them from the merged records) must equal
+``merge_collectors(...).summarize()`` field for field, retired collectors
+included.
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -17,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ChunkedPrefillServer
-from repro.cluster import Fleet, FleetConfig
-from repro.serving.metrics import MetricsCollector, merge_collectors
+from repro.cluster import Fleet, FleetConfig, HealthConfig
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.serving.metrics import MetricsCollector, merge_collectors, pooled_summaries
 from repro.serving.slo import SLO
 from repro.sim import Simulator
 from repro.workloads import sharegpt_workload
@@ -78,6 +85,58 @@ class TestMergeCollectors:
             assert merged_dict[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
         assert Counter(merged.ttft_values()) == Counter(union.ttft_values())
         assert Counter(merged.all_token_gaps()) == Counter(union.all_token_gaps())
+
+
+def _same(a, b) -> bool:
+    """Field-for-field equality of two summaries (NaN equals NaN)."""
+    a, b = a.as_dict(), b.as_dict()
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (isinstance(a[k], float) and math.isnan(a[k]) and math.isnan(b[k]))
+        for k in a
+    )
+
+
+class TestPooledSummaries:
+    @given(plans=request_plans, retired=st.integers(min_value=0, max_value=2))
+    @settings(max_examples=60, deadline=None)
+    def test_pooled_equals_merge(self, plans, retired):
+        shards = [MetricsCollector(SLO_DEFAULT, name=f"r{i}") for i in range(4)]
+        for request_id, (shard, arrival, tokens) in enumerate(plans):
+            _feed(shards[shard], request_id, arrival, tokens)
+        fleet, own = pooled_summaries(
+            shards[retired:], SLO_DEFAULT, name="fleet", retired=shards[:retired]
+        )
+        assert _same(fleet, merge_collectors(shards, SLO_DEFAULT, name="fleet").summarize())
+        assert len(own) == len(shards) - retired
+        for collector, summary in zip(shards[retired:], own):
+            assert _same(summary, collector.summarize())
+
+    def test_fleet_with_a_retired_generation(self, cfg_8b_single):
+        sim = Simulator()
+        fleet = Fleet(
+            sim,
+            lambda s, c: ChunkedPrefillServer(s, c, token_budget=256),
+            cfg_8b_single,
+            FleetConfig(replicas=2, health=HealthConfig()),
+        )
+        kill = FaultSpec(at=2.0, kind=FaultKind.REPLICA_KILL, target="r0", restart_after=1.0)
+        FaultInjector(sim, fleet, FaultPlan(specs=(kill,))).arm()
+        workload = sharegpt_workload(20, rate=10.0, seed=24)
+        fleet.submit(workload)
+        sim.run(until=workload.requests[-1].arrival_time + 3600.0)
+        assert len(fleet._retired_collectors) == 1
+
+        summary, per_replica = fleet.summaries()
+        remerged = merge_collectors(
+            [*fleet._retired_collectors, *(r.system.metrics for r in fleet.replicas)],
+            cfg_8b_single.slo,
+            name="fleet",
+        )
+        assert summary.as_dict() == remerged.summarize().as_dict()
+        assert summary.requests_finished == len(workload)
+        assert per_replica.keys() == fleet.per_replica_summaries().keys()
+        for name, own in fleet.per_replica_summaries().items():
+            assert per_replica[name].as_dict() == own.as_dict()
 
 
 class TestFleetAggregation:

@@ -112,6 +112,21 @@ class TestParser:
             (["run", "--rate", "0"], "argument --rate: must be positive, got 0"),
             (["run", "--gpus", "0"], "argument --gpus: must be positive, got 0"),
             (["cluster", "--rate", "-1"], "argument --rate: must be positive, got -1"),
+            (["run", "--requests", "-5"], "argument --requests: must be non-negative, got -5"),
+            (["goodput", "--rates", "0"], "argument --rates: must be positive, got 0"),
+            (["goodput", "--rates", "1,-2"], "argument --rates: must be positive, got -2"),
+            (["cluster", "--replicas", "0"], "argument --replicas: must be positive, got 0"),
+            (["chaos", "--replicas", "0"], "argument --replicas: must be positive, got 0"),
+            (
+                ["cluster", "--max-outstanding", "0"],
+                "argument --max-outstanding: must be positive, got 0",
+            ),
+            (["perf", "--repeats", "0"], "argument --repeats: must be positive, got 0"),
+            (["perf", "--scale", "0"], "argument --scale: must be positive, got 0"),
+            (["perf", "--scale", "-1"], "argument --scale: must be positive, got -1"),
+            (["spec", "--rates", "-1"], "argument --rates: must be in [0, 1], got -1"),
+            (["spec", "--rates", "0.5", "1.5"], "argument --rates: must be in [0, 1], got 1.5"),
+            (["tenancy", "--scale", "0"], "argument --scale: must be positive, got 0"),
         ],
     )
     def test_nonpositive_rate_or_gpus_is_a_usage_error(self, capsys, argv, message):
@@ -121,6 +136,14 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(message)
         assert "Traceback" not in err
+
+    def test_goodput_rates_parse_as_a_list(self):
+        args = build_parser().parse_args(["goodput", "--rates", "0.5,2"])
+        assert args.rates == [0.5, 2.0]
+        assert build_parser().parse_args(["goodput"]).rates == [0.5, 1.0, 2.0]
+
+    def test_zero_requests_is_accepted(self):
+        assert build_parser().parse_args(["run", "--requests", "0"]).requests == 0
 
     def test_tenancy_command_small(self, capsys):
         code = main(["tenancy", "--scale", "0.1"])
