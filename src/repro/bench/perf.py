@@ -41,7 +41,7 @@ from repro.cluster import FleetConfig, HealthConfig
 from repro.gpu.specs import A100
 from repro.models.config import LLAMA_8B
 from repro.serving.config import ServingConfig
-from repro.workloads import sharegpt_workload
+from repro.workloads import sharegpt_workload, toolagent_workload
 
 #: Schema version of BENCH_perf.json; bump on incompatible layout changes.
 SCHEMA_VERSION = 1
@@ -77,11 +77,8 @@ def _factory(sim, cfg):
 # --------------------------------------------------------------------- #
 
 
-def _scenario_single(scale: float):
-    """One ServingSystem under a goodput-style load (the Fig. 15 shape)."""
-    cfg = _default_config()
-    workload = sharegpt_workload(max(8, int(200 * scale)), rate=6.0, seed=13)
-    result = run_system(_factory, cfg, workload)
+def _system_payload(result):
+    """Fingerprint payload and extras of one single-system run."""
     payload = {
         "summary": result.summary.as_dict(),
         "cache_hit_rate": result.cache_hit_rate,
@@ -90,6 +87,26 @@ def _scenario_single(scale: float):
         "extras": result.extras,
     }
     return payload, result.extras
+
+
+def _scenario_single(scale: float):
+    """One ServingSystem under a goodput-style load (the Fig. 15 shape)."""
+    cfg = _default_config()
+    workload = sharegpt_workload(max(8, int(200 * scale)), rate=6.0, seed=13)
+    return _system_payload(run_system(_factory, cfg, workload))
+
+
+def _scenario_muxwise(scale: float):
+    """MuxWise on 8xA100 under the Tool&Agent multi-turn trace (Fig. 15).
+
+    The only scenario that times the paper's own scheduler outside a
+    study: layer-wise prefill groups co-running with decode on split SMs.
+    """
+    from repro.core import MuxWiseServer
+
+    cfg = ServingConfig(model=LLAMA_8B, spec=A100, n_gpus=8)
+    workload = toolagent_workload(max(4, int(40 * scale)), request_rate=4.0, seed=13)
+    return _system_payload(run_system(MuxWiseServer, cfg, workload))
 
 
 def _scenario_fleet(scale: float):
@@ -217,6 +234,7 @@ def _scenario_agentic_rag(scale: float):
 
 SCENARIOS: dict[str, Callable] = {
     "single_goodput": _scenario_single,
+    "muxwise_single": _scenario_muxwise,
     "fleet_4_replicas": _scenario_fleet,
     "chaos_4_replicas": _scenario_chaos,
     "tenancy_wfq_brownout": _scenario_tenancy,

@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 from repro.core.engine import MultiplexEngine
 from repro.core.estimator import ContentionTolerantEstimator
 from repro.gpu.specs import decode_partition_options
+from repro.gpu.stream import Work
 from repro.models.costs import PhaseCost, PrefillItem, phase_latency
 from repro.serving.base import RequestState, build_instance
 from repro.serving.batching import DecodeBatchMixin
 from repro.serving.config import ServingConfig
-from repro.sim import Simulator
+from repro.sim import Simulator, fastpath
 from repro.trace.tracer import CAT_SCHED
 
 
@@ -370,35 +371,112 @@ class MuxWiseServer(DecodeBatchMixin):
                 return sm_count
         return self.partition_options[-1]
 
-    def _maybe_start_decode(self) -> None:
-        if self._decode_inflight or self._merge_blocked():
-            return
-        if self.merge_ready:
-            self.running.extend(self.merge_ready)
-            self.merge_ready.clear()
-        batch = [s for s in self.running if not s.finished][: self.cfg.max_decode_batch]
-        if not batch:
-            return
-        lens = self.decode_context_lens(batch)
-        if self.spec_decode is None:
-            sum_context = float(sum(lens))
-            decode_sms = self._choose_decode_partition(len(batch), sum_context)
-            cost = self.instance.cost_model.decode_iter(lens)
-        else:
-            cost = self.decode_step_cost(self.instance, batch)
-            decode_sms = self._choose_spec_partition(cost)
-        if decode_sms != self.engine.decode_sms:
-            self.engine.set_partition(decode_sms)
-            self._log_partition()
-        work = cost.work(tag="decode-iter")
-        self._decode_inflight = True
-        submit_time = self.sim.now
-        job = self.active_job
+    def _maybe_start_decode(self, elide: bool = False) -> None:
+        """Launch the next decode iteration, if any.
 
-        def on_done(_t: float, batch=batch, lens=lens, job=job, submit_time=submit_time) -> None:
-            self._on_decode_done(batch, lens, job, submit_time)
+        ``elide`` is set only by :meth:`_on_decode_done`, whose one
+        remaining step is ``_pump_prefill``: solo decode chains may then be
+        elided (:meth:`_elide_decode`) and this loops to the next iteration.
+        The ``_pump_prefill`` calls the scalar path would run between the
+        elided chains are no-ops with the prefill side idle, so the
+        caller's single call after this returns is the scalar order.
+        """
+        while True:
+            if self._decode_inflight or self._merge_blocked():
+                return
+            if self.merge_ready:
+                self.running.extend(self.merge_ready)
+                self.merge_ready.clear()
+            batch = [s for s in self.running if not s.finished][: self.cfg.max_decode_batch]
+            if not batch:
+                return
+            lens = self.decode_context_lens(batch)
+            if self.spec_decode is None:
+                sum_context = float(sum(lens))
+                decode_sms = self._choose_decode_partition(len(batch), sum_context)
+                cost = self.instance.cost_model.decode_iter(lens)
+            else:
+                cost = self.decode_step_cost(self.instance, batch)
+                decode_sms = self._choose_spec_partition(cost)
+            if decode_sms != self.engine.decode_sms:
+                self.engine.set_partition(decode_sms)
+                self._log_partition()
+            work = cost.work(tag="decode-iter")
+            if elide and self._elide_decode(batch, work):
+                continue
+            self._decode_inflight = True
+            submit_time = self.sim.now
+            job = self.active_job
 
-        self.engine.launch_decode(work, on_done)
+            def on_done(
+                _t: float, batch=batch, lens=lens, job=job, submit_time=submit_time
+            ) -> None:
+                self._on_decode_done(batch, lens, job, submit_time)
+
+            self.engine.launch_decode(work, on_done)
+            return
+
+    def _elide_decode(self, batch: list[RequestState], work: Work) -> bool:
+        """Run one decode iteration as an elided solo chain, if provably exact.
+
+        The chain is host launch -> decode-stream submit -> phase-change
+        updates -> completion.  It may skip the event queue only when
+        nothing else on this instance can act before it completes: the
+        prefill side fully idle (no active, preempted or pending-preemptor
+        job, nothing waiting; the caller has just drained ``merge_ready``
+        into the batch), the host thread and both green-context streams
+        idle (so a just-queued resize bails), the device empty and
+        unstalled, no speculative decoding, and the completion strictly
+        before the next queued event
+        (:func:`repro.sim.fastpath.chain_allowed`).  The iteration's own
+        estimator calls already ran in :meth:`_maybe_start_decode`; with
+        no prefill job the completion handler observes nothing, so only
+        the token accounting remains, and it runs for real.
+        """
+        if (
+            self.spec_decode is not None
+            or self.active_job is not None
+            or self.preempted_job is not None
+            or self._preemptor_state is not None
+            or self.waiting
+        ):
+            return False
+        sim = self.sim
+        if not fastpath.decode_fastpath_active(sim):
+            return False
+        engine = self.engine
+        stream = engine.decode_stream
+        host = self.instance.host
+        device = self.instance.device
+        if (
+            host._busy
+            or host._queue
+            or not stream.idle
+            or not engine.prefill_stream.idle
+            or device._active
+            or device._stalled
+        ):
+            return False
+        launch = self.cfg.launch.decode_launch()
+        plan = fastpath.plan_chain(
+            device,
+            work.flops,
+            work.bytes,
+            work.fixed_time,
+            sim.now,
+            sm_count=stream.sm_count,
+            max_bandwidth=work.max_bandwidth,
+            launch=launch,
+        )
+        if plan is None or not fastpath.chain_allowed(sim, plan, device):
+            return False
+        # HostThread._pump and Stream._op_done busy-time, as the scalar
+        # chain accrues them.
+        host._busy_seconds += launch
+        fastpath.commit_chain(sim, device, plan)
+        stream._busy_seconds += plan.completion - plan.start
+        self._retire_decode(batch)
+        return True
 
     def _on_decode_done(
         self,
@@ -420,6 +498,12 @@ class MuxWiseServer(DecodeBatchMixin):
                 float(job.new_tokens),
                 float(job.reused_tokens),
             )
+        self._retire_decode(batch)
+        self._maybe_start_decode(elide=True)
+        self._pump_prefill()
+
+    def _retire_decode(self, batch: list[RequestState]) -> None:
+        """Account one finished decode iteration's tokens."""
         finished, preempted = self.emit_decode_iteration(self.instance, batch)
         for state in finished:
             self.running.remove(state)
@@ -428,8 +512,6 @@ class MuxWiseServer(DecodeBatchMixin):
             self.running.remove(state)
             state.lease = None
             self.waiting.appendleft(state)
-        self._maybe_start_decode()
-        self._pump_prefill()
 
     # ------------------------------------------------------------------ #
     # Diagnostics

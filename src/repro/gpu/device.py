@@ -201,6 +201,48 @@ def waterfill(demands: list[float], capacity: float) -> list[float]:
     return alloc
 
 
+def waterfill2(d0: float, d1: float, capacity: float) -> tuple[float, float]:
+    """:func:`waterfill` of exactly two demands, unrolled.
+
+    Follows the general function's branches and rounds operation for
+    operation — the same under-demand shortcut, the same ``share + _EPS``
+    capping test, the same ``remaining`` subtraction order — so both
+    return bit-identical floats.  The device's two-task reallocation (a
+    decode and a prefill green context co-running) calls it once per
+    phase change.
+    """
+    if capacity <= _EPS:
+        return 0.0, 0.0
+    if d0 + d1 <= capacity - 1.0:
+        return (d0 if d0 > _EPS else 0.0), (d1 if d1 > _EPS else 0.0)
+    want0 = d0 > _EPS
+    want1 = d1 > _EPS
+    if want0 and want1:
+        share = capacity / 2
+        cap0 = d0 <= share + _EPS
+        cap1 = d1 <= share + _EPS
+        if not cap0 and not cap1:
+            return share, share
+        if cap0 and cap1:
+            return d0, d1
+        # One demand capped in round 1; the other gets the remainder in
+        # round 2 (divided by one unsatisfied task: the float identity).
+        if cap0:
+            remaining = capacity - d0
+            if remaining <= _EPS:
+                return d0, 0.0
+            return d0, (d1 if d1 <= remaining + _EPS else remaining)
+        remaining = capacity - d1
+        if remaining <= _EPS:
+            return 0.0, d1
+        return (d0 if d0 <= remaining + _EPS else remaining), d1
+    if want0:
+        return (d0 if d0 <= capacity + _EPS else capacity), 0.0
+    if want1:
+        return 0.0, (d1 if d1 <= capacity + _EPS else capacity)
+    return 0.0, 0.0
+
+
 class Device:
     """A simulated GPU or tensor-parallel group of identical GPUs.
 
@@ -431,12 +473,14 @@ class Device:
         return max(0.3, 1.0 - loss)
 
     def _reallocate(self) -> None:
-        if len(self._active) == 1 and not self._stalled:
+        active = self._active
+        n = len(active)
+        if n == 1 and not self._stalled:
             # Fast path for the dominant case (one fused step in flight):
             # the interference factor of a lone task is exactly 1.0 and
             # waterfill of one demand is min(demand, capacity), so this is
-            # a bit-exact shortcut of the general path below.
-            task = self._active[0]
+            # a bit-exact shortcut of the general path.
+            task = active[0]
             sm = task.sm_count
             scale = 1.0 if sm <= self.total_sms else self.total_sms / sm
             self._sm_occupancy = (
@@ -459,6 +503,79 @@ class Device:
                 return
             self._trace_bandwidth()
             return
+        if n == 2 and not self._stalled:
+            self._reallocate_pair(active[0], active[1])
+            return
+        self._reallocate_general()
+
+    def _reallocate_pair(self, a: ExecTask, b: ExecTask) -> None:
+        """Two co-running tasks (MuxWise's decode + prefill green contexts).
+
+        A bit-exact unrolling of :meth:`_reallocate_general` for two
+        tasks: occupancy, rates, interference factors and demands are the
+        general loop's expressions inlined, and :func:`waterfill2` follows
+        :func:`waterfill`'s rounds.  An out-of-range SM count defers to the
+        general loop, which raises.
+        """
+        total = self.total_sms
+        sa = a.sm_count
+        sb = b.sm_count
+        if not (0 < sa <= total and 0 < sb <= total):
+            self._reallocate_general()
+            return
+        # _compute_scale: sum() over the pair.
+        demanded = sa + sb
+        scale = 1.0 if demanded <= total else total / demanded
+        a_done = a.rem_flops <= a._flops_floor
+        b_done = b.rem_flops <= b._flops_floor
+        if a_done:
+            occupied = 0 if b_done else sb
+        else:
+            occupied = sa if b_done else sa + sb
+        self._sm_occupancy = occupied * scale
+        flops_per_sm = self._flops_per_sm
+        rate_a = flops_per_sm * sa * scale
+        rate_b = flops_per_sm * sb * scale
+        a.compute_rate = rate_a
+        b.compute_rate = rate_b
+        key = (a.task_id, b.task_id)
+        if key == self._factors_key:
+            fa, fb = self._factors
+        else:
+            # _interference_factor: one co-runner each.
+            kappa = self.spec.contention_kappa
+            fa = max(0.3, 1.0 - kappa * min(1.0, sb / total) * _config_ripple(sa, sb))
+            fb = max(0.3, 1.0 - kappa * min(1.0, sa / total) * _config_ripple(sb, sa))
+            self._factors_key = key
+            self._factors = [fa, fb]
+        # ExecTask.bandwidth_demand, then the interference over-request.
+        cap_a = a.max_bandwidth
+        if a.rem_bytes <= a._bytes_floor:
+            da = 0.0
+        elif a_done:
+            da = cap_a
+        else:
+            da = min(a.rem_bytes / (a.rem_flops / rate_a), cap_a)
+        if math.isfinite(da) and fa > 0:
+            da = min(da / fa, cap_a)
+        cap_b = b.max_bandwidth
+        if b.rem_bytes <= b._bytes_floor:
+            db = 0.0
+        elif b_done:
+            db = cap_b
+        else:
+            db = min(b.rem_bytes / (b.rem_flops / rate_b), cap_b)
+        if math.isfinite(db) and fb > 0:
+            db = min(db / fb, cap_b)
+        alloc_a, alloc_b = waterfill2(da, db, self.effective_bandwidth)
+        a.bw_rate = alloc_a * fa
+        b.bw_rate = alloc_b * fb
+        tracer = self.sim.tracer
+        if tracer is not None and tracer.enabled:
+            self._trace_bandwidth()
+
+    def _reallocate_general(self) -> None:
+        """Max-min reallocation of any active set (the reference loop)."""
         scale = self._compute_scale()
         self._sm_occupancy = (
             sum(t.sm_count for t in self._active if not t.flops_done) * scale

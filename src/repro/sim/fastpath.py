@@ -10,6 +10,14 @@ fluid model for a lone task and :func:`commit_chain` replays the exact same
 per-interval accounting against the device, charges the elided events to
 the simulator's counters, and jumps the clock to the completion time.
 
+Three schedulers use it.  The chunked-prefill and SGLang-PD decode loops
+submit full-device tasks directly.  MuxWise submits through its decode
+green context, so its chains run on a sub-device SM count and open with
+one host-launch event (the captured decode graph): :func:`plan_chain`
+takes the stream's ``sm_count`` and the ``launch`` delay, and charges that
+leading event with the rest.  MuxWise elides only while its prefill side is
+fully idle (see ``MuxWiseServer._elide_decode``).
+
 Byte-identity contract (enforced by ``tests/sim/test_fastpath_equivalence``
 and the golden fingerprints in ``tests/bench/test_perf.py``):
 
@@ -21,14 +29,17 @@ and the golden fingerprints in ``tests/bench/test_perf.py``):
   order (float addition is not associative).
 * A chain is elided only when its completion time lies strictly before the
   raw queue head (cancelled entries included), within the run's ``until``
-  horizon, and within its ``max_events`` budget.  Anything else — an event
-  due mid-chain, a tie at the completion instant, a cancelled head, a cap
-  about to trip — flushes back to the scalar path, which reproduces the
-  boundary behaviour with perfect fidelity.
+  horizon, and within its ``max_events`` budget (the host-launch event
+  included).  Anything else — an event due mid-chain, a tie at the
+  completion instant, a cancelled head, a cap about to trip — flushes back
+  to the scalar path, which reproduces the boundary behaviour with perfect
+  fidelity.
 * Elided events count toward ``processed_events`` and the run's fired-event
   budget; the queue high-water mark gets one ``len(heap) + 1`` candidate
   per iteration, exactly the depth the scalar chain would have reached
   (the chain keeps at most one event queued at any instant).
+* A task with a finite ``max_bandwidth`` cap is never planned: the
+  single-task demand arithmetic below assumes an uncapped task.
 
 Token emission, request finishing, preemption, cache growth and metric
 recording are *not* emulated — the serving loops call the real code between
@@ -116,27 +127,31 @@ class ChainPlan:
     """Outcome of dry-running one solo task chain on an idle device.
 
     Attributes:
+        start: Absolute time the task reaches the device (the planning
+            instant, or the end of the host launch when there is one).
         completion: Absolute time the completion callback would fire.
         retire_time: Absolute time of the final phase-change update (the
             device's ``_last_advance`` after the chain).
-        events: Simulator events the scalar chain would fire (updates + 1
-            completion).
+        events: Simulator events the scalar chain would fire (the host
+            launch, if any, + updates + 1 completion).
         idle_delta: Bandwidth-capacity integral of the idle gap before the
             submit, or None when the gap is empty.
         steps: Per-update accounting deltas ``(bw_capacity, sm_seconds,
             bytes_served)`` in scalar ``+=`` order.
     """
 
-    __slots__ = ("completion", "retire_time", "events", "idle_delta", "steps")
+    __slots__ = ("start", "completion", "retire_time", "events", "idle_delta", "steps")
 
     def __init__(
         self,
+        start: float,
         completion: float,
         retire_time: float,
         events: int,
         idle_delta: float | None,
         steps: list[tuple[float, float, float]],
     ) -> None:
+        self.start = start
         self.completion = completion
         self.retire_time = retire_time
         self.events = events
@@ -150,26 +165,43 @@ def plan_chain(
     bytes_: float,
     fixed_time: float,
     now: float,
+    sm_count: float | None = None,
+    max_bandwidth: float = math.inf,
+    launch: float | None = None,
 ) -> ChainPlan | None:
-    """Dry-run the solo chain of one full-SM task submitted at ``now``.
+    """Dry-run the solo chain of one task submitted to an idle device.
 
     Mirrors ``Device.submit`` -> ``_on_update``* -> ``_finish_task`` for a
-    lone task occupying all SMs on an idle, unstalled device.  Returns
-    ``None`` when the chain falls outside the replicated regime (zero-work
-    task, non-finite horizon, degenerate float step) — callers then take
-    the scalar path.  The device is not mutated.
+    lone task of ``sm_count`` SMs (default: all of them) on an idle,
+    unstalled device.  With ``launch`` the chain opens with a host-launch
+    event ``launch`` seconds after ``now`` (``HostThread.enqueue``), and the
+    submit happens when it fires; that event is counted in ``events``.
+    Returns ``None`` when the chain falls outside the replicated regime
+    (zero-work task, finite ``max_bandwidth`` cap, non-finite horizon,
+    degenerate float step) — callers then take the scalar path.  The
+    device is not mutated.
     """
+    if max_bandwidth != math.inf:
+        # A capped task's demand is min(..., cap), which the arithmetic
+        # below does not replicate.
+        return None
     rem_flops = float(flops)
     rem_bytes = float(bytes_)
     if rem_flops <= _EPS and rem_bytes <= _EPS:
         # Zero-work tasks complete synchronously inside submit().
         return None
+    events = 0
+    if launch is not None:
+        # HostThread._pump -> sim.schedule(launch): the submit runs in the
+        # host event's callback.
+        now = now + launch
+        events = 1
     # ExecTask.__post_init__ floors.
     flops_floor = max(_EPS, 1e-9 * rem_flops)
     bytes_floor = max(_EPS, 1e-9 * rem_bytes)
     eff_bw = device.effective_bandwidth
-    sm = device.total_sms
-    # _reallocate's single-task fast path: sm_count == total_sms, so the
+    sm = device.total_sms if sm_count is None else sm_count
+    # _reallocate's single-task fast path: sm_count <= total_sms, so the
     # oversubscription scale is exactly 1.0 and multiplying by it is the
     # float identity — rate and occupancy reduce to the bare products.
     rate = device._flops_per_sm * sm
@@ -179,7 +211,6 @@ def plan_chain(
     idle_delta = eff_bw * dt0 if dt0 > 0 else None
 
     steps: list[tuple[float, float, float]] = []
-    events = 0
     cur = now
     for _ in range(_MAX_CHAIN_ROUNDS):
         # _reallocate: occupancy, bandwidth demand, water-filled rate.
@@ -236,7 +267,7 @@ def plan_chain(
     # _finish_task: completion scheduled fixed_time after the retiring
     # update (schedule(0.0) clamps to the current instant).
     completion = cur + fixed_time if fixed_time > 0 else cur
-    return ChainPlan(completion, cur, events + 1, idle_delta, steps)
+    return ChainPlan(now, completion, cur, events + 1, idle_delta, steps)
 
 
 def chain_allowed(sim: "Simulator", plan: ChainPlan, shard: object = None) -> bool:

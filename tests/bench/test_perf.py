@@ -52,6 +52,11 @@ GOLDEN_RESULTS = {
         "fingerprint": "69e278e426f781611af12a42bc0a131f6f5898dc9eaaac49d316d30cc27b0bdd",
         "peak_event_queue": 65,
     },
+    "muxwise_single": {
+        "events": 4188,
+        "fingerprint": "dd3547ae5e3c4ead4677afcc04d4ff049926e77eaeb7cbe8d8debb3db6e2c98e",
+        "peak_event_queue": 9,
+    },
     "fleet_4_replicas": {
         "events": 6102,
         "fingerprint": "99a44a988cf062e2850b88100238a330e4fc5bcf6db1882fbebc9803b870d196",

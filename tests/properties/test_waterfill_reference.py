@@ -13,7 +13,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.device import waterfill
+from repro.gpu.device import waterfill, waterfill2
 
 _EPS = 1e-9  # must match device._EPS
 
@@ -137,3 +137,72 @@ class TestWaterfillEdgeCases:
 
     def test_single_demand_under_capacity_is_exact(self):
         assert waterfill([123.456], 200.0) == [123.456]
+
+
+def _signed(values) -> list[tuple[float, float]]:
+    """Each float with its sign bit, so 0.0 and -0.0 compare unequal."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+def assert_pair_matches(d0: float, d1: float, capacity: float) -> None:
+    pair = waterfill2(d0, d1, capacity)
+    general = waterfill([d0, d1], capacity)
+    assert _signed(pair) == _signed(general), (d0, d1, capacity, pair, general)
+
+
+class TestWaterfill2MatchesWaterfill:
+    """The unrolled two-demand water-fill against the general function."""
+
+    @given(d0=demand_values, d1=demand_values, capacity=st.floats(0.0, 1e13))
+    @settings(max_examples=500)
+    def test_exact_equality(self, d0, d1, capacity):
+        assert_pair_matches(d0, d1, capacity)
+
+    @given(
+        capacity=st.floats(min_value=1e-12, max_value=1e13),
+        offset0=st.sampled_from([-2 * _EPS, -_EPS, 0.0, _EPS, 2 * _EPS]),
+        offset1=st.sampled_from([-2 * _EPS, -_EPS, 0.0, _EPS, 2 * _EPS]),
+        other=st.one_of(demand_values, st.just(0.0)),
+        swap=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_demands_at_the_fair_share_boundary(self, capacity, offset0, offset1, other, swap):
+        """A demand at ``capacity/2 ± _EPS`` sits on round 1's capping test."""
+        near = capacity / 2 + offset0
+        assert_pair_matches(*((other, near) if swap else (near, other)), capacity)
+        assert_pair_matches(capacity / 2 + offset0, capacity / 2 + offset1, capacity)
+
+    @given(
+        capacity=st.floats(min_value=0.5, max_value=1e13),
+        split=st.floats(min_value=0.0, max_value=1.0),
+        nudge=st.sampled_from([-1.0, -_EPS, 0.0, _EPS, 1.0]),
+    )
+    @settings(max_examples=300)
+    def test_total_demand_at_the_under_capacity_margin(self, capacity, split, nudge):
+        """``d0 + d1`` at ``capacity - 1.0`` sits on the shortcut's edge."""
+        total = capacity - 1.0 + nudge
+        d0 = max(0.0, total * split)
+        d1 = max(0.0, total - d0)
+        assert_pair_matches(d0, d1, capacity)
+        assert_pair_matches(capacity - 1.0, 0.0, capacity)
+        assert_pair_matches(capacity - 1.0, math.inf, capacity)
+
+    def test_hand_picked_cases(self):
+        for d0, d1, capacity in [
+            (0.0, 0.0, 100.0),
+            (-0.0, 0.0, 100.0),
+            (0.0, -0.0, 100.0),
+            (5.0, 0.0, 0.0),
+            (math.inf, math.inf, 100.0),
+            (math.inf, 10.0, 100.0),
+            (10.0, math.inf, 100.0),
+            (30.0, 90.0, 100.0),
+            (90.0, 30.0, 100.0),
+            (50.0, 50.0, 100.0),
+            (50.0, 50.0, 99.0),
+            (100.0, _EPS / 2, 100.0),
+            (_EPS / 2, _EPS / 2, 100.0),
+            (60.0, 60.0, 100.0),
+            (100.0 - _EPS, 100.0, 100.0),
+        ]:
+            assert_pair_matches(d0, d1, capacity)
